@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, TrainConfig
-from .graph import SparseGraph
+from .config import TrainConfig
+from .graph import SparseGraph, csr_offsets
 from .tensor import Tensor, masked_fill_rows
 
 _MASK_STREAM, _DROP_STREAM = 0xA5E1, 0xD80F
@@ -39,10 +39,6 @@ class DropPlan:
 
 def draw_plans(config: TrainConfig, epoch: int, num_nodes: int) -> tuple[MaskPlan, DropPlan]:
     """Fresh i.i.d. Bernoulli draws, a pure function of (config.seed, epoch)."""
-    for name in ("p_mask", "p_drop"):
-        p = getattr(config, name)
-        if not (0.0 <= p <= 1.0):
-            raise ConfigError(f"{name} outside [0, 1]")
     mask_rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, epoch, _MASK_STREAM]))
     drop_rng = np.random.default_rng(
@@ -66,9 +62,5 @@ def drop_nodes(graph: SparseGraph, plan: DropPlan) -> SparseGraph:
     rows = np.repeat(np.arange(graph.num_nodes), graph.degrees())
     cols = graph.col_indices
     keep = ~(dropped[rows] | dropped[cols])
-    rows, cols = rows[keep], cols[keep]
-    offsets = np.zeros(graph.num_nodes + 1, dtype=np.int64)
-    np.add.at(offsets, rows + 1, 1)
-    offsets = np.cumsum(offsets)
-    return SparseGraph(graph.num_nodes, offsets, cols.astype(np.int64),
-                       graph.is_undirected)
+    return SparseGraph(graph.num_nodes, csr_offsets(rows[keep], graph.num_nodes),
+                       cols[keep].astype(np.int64), graph.is_undirected)

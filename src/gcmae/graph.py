@@ -22,6 +22,43 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def csr_offsets(rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """CSR row offsets from the row index of every stored entry."""
+    offsets = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=offsets[1:])
+    return offsets
+
+
+def _degree_buckets(offsets: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> tuple:
+    lengths = np.diff(offsets)
+    order = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    starts = np.flatnonzero(np.diff(sorted_lengths, prepend=-1))
+    buckets = []
+    for start, end in zip(starts, np.append(starts[1:], order.size)):
+        k = sorted_lengths[start]
+        if k:
+            rows = order[start:end]
+            entries = offsets[rows][:, None] + np.arange(k)
+            buckets.append((rows, cols[entries], weights[entries]))
+    return tuple(buckets)
+
+
+def _ell_layouts(offsets: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+                 symmetric: bool) -> tuple[tuple, tuple]:
+    """Degree-bucketed ELL layouts (Bell & Garland 2009) of a CSR matrix and of
+    its transpose, which is the same for a symmetric matrix. A bucket holds the
+    rows with k > 0 entries: their ids, and r x k column ids and weights in CSR
+    order."""
+    forward = _degree_buckets(offsets, cols, weights)
+    if symmetric:
+        return forward, forward
+    n = offsets.shape[0] - 1
+    rows = np.repeat(np.arange(n), np.diff(offsets))
+    order = np.argsort(cols, kind="stable")  # transpose; source rows stay ascending
+    return forward, _degree_buckets(csr_offsets(cols, n), rows[order], weights[order])
+
+
 @dataclass(frozen=True)
 class SparseGraph:
     """Canonical CSR adjacency: sorted, deduplicated, no self-loops.
@@ -56,10 +93,7 @@ class SparseGraph:
             rows, cols = flat // num_nodes, flat % num_nodes
         else:
             rows = cols = np.zeros(0, dtype=np.int64)
-        offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.add.at(offsets, rows + 1, 1)
-        offsets = np.cumsum(offsets)
-        return cls(num_nodes, offsets, cols.astype(np.int64), is_undirected)
+        return cls(num_nodes, csr_offsets(rows, num_nodes), cols.astype(np.int64), is_undirected)
 
     @property
     def num_arcs(self) -> int:
@@ -81,6 +115,12 @@ class SparseGraph:
         rows = np.repeat(np.arange(self.num_nodes), self.degrees())
         dense[rows, self.col_indices] = 1.0
         return dense
+
+    @cached_property
+    def spmm_layout(self) -> tuple[tuple, tuple]:
+        """Unit-weight layouts for tensor.spmm, built on first use."""
+        return _ell_layouts(self.row_offsets, self.col_indices, np.ones(self.num_arcs),
+                            self.is_undirected)
 
 
 @dataclass(frozen=True)
@@ -105,13 +145,10 @@ class NormalizedAdjacency:
         return dense
 
     @cached_property
-    def dense64(self) -> np.ndarray:
-        """Cached dense operator; BLAS beats sparse gathers at desk scale."""
-        dense = np.zeros((self.num_nodes, self.num_nodes), dtype=np.float64)
-        rows = np.repeat(np.arange(self.num_nodes), np.diff(self.row_offsets))
-        dense[rows, self.col_indices] = self.weights.astype(np.float64)
-        dense.setflags(write=False)
-        return dense
+    def spmm_layout(self) -> tuple[tuple, tuple]:
+        """Layouts for tensor.spmm, built on first use."""
+        return _ell_layouts(self.row_offsets, self.col_indices,
+                            self.weights.astype(np.float64), self.is_symmetric)
 
 
 def normalize(graph: SparseGraph) -> NormalizedAdjacency:
@@ -127,11 +164,8 @@ def normalize(graph: SparseGraph) -> NormalizedAdjacency:
     cols = np.concatenate([graph.col_indices, np.arange(n)])
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, rows + 1, 1)
-    offsets = np.cumsum(offsets)
     weights = (inv_sqrt[rows] * inv_sqrt[cols]).astype(np.float32)
-    return NormalizedAdjacency(n, offsets, cols, weights,
+    return NormalizedAdjacency(n, csr_offsets(rows, n), cols, weights,
                                is_symmetric=graph.is_undirected)
 
 
@@ -279,13 +313,16 @@ def load_dataset(path: str, split_seed: int = 0) -> Dataset:
         pos += 1
         return ln
 
+    def parse(kind, token: str, what: str):
+        try:
+            return kind(token)
+        except ValueError as exc:
+            raise DataError(f"malformed {what}: {token!r}") from exc
+
     header = take().split()
     if len(header) != 3 or header[0] != "NODES":
         raise DataError("malformed header, expected 'NODES <N> <d>'")
-    try:
-        n, dim = int(header[1]), int(header[2])
-    except ValueError as exc:
-        raise DataError("malformed header counts") from exc
+    n, dim = parse(int, header[1], "header count"), parse(int, header[2], "header count")
     if n < 0 or dim < 0:
         raise DataError("negative header counts")
 
@@ -295,27 +332,24 @@ def load_dataset(path: str, split_seed: int = 0) -> Dataset:
             raise DataError("feature row count mismatch")
         ln = take()
         head, _, rest = ln.partition(":")
-        try:
-            node_id = int(head)
-        except ValueError as exc:
-            raise DataError(f"malformed feature line: {ln!r}") from exc
+        node_id = parse(int, head, "feature line node id")
         if node_id != i:
             raise DataError(f"node ids must appear in order, got {node_id} expected {i}")
         vals = rest.split()
         if len(vals) != dim:
             raise DataError(f"node {i}: expected {dim} feature values, got {len(vals)}")
-        feats[i] = [float(v) for v in vals]
+        feats[i] = [parse(float, v, "feature value") for v in vals]
 
     edge_header = take().split()
     if len(edge_header) != 2 or edge_header[0] != "EDGES":
         raise DataError("malformed edge header, expected 'EDGES <m>'")
-    m = int(edge_header[1])
+    m = parse(int, edge_header[1], "edge count")
     edges = []
     for _ in range(m):
         parts = take().split()
         if len(parts) != 2:
             raise DataError("malformed edge line")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = (parse(int, p, "edge endpoint") for p in parts)
         if not (0 <= u < n and 0 <= v < n):
             raise DataError(f"edge ({u}, {v}) out of range")
         edges.append((u, v))
@@ -333,7 +367,7 @@ def load_dataset(path: str, split_seed: int = 0) -> Dataset:
             parts = take().split()
             if len(parts) != 2:
                 raise DataError("malformed label line")
-            node_id, cls = int(parts[0]), int(parts[1])
+            node_id, cls = (parse(int, p, "label line") for p in parts)
             if node_id != i:
                 raise DataError(f"label ids must appear in order, got {node_id} expected {i}")
             if cls < 0:

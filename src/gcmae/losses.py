@@ -67,17 +67,6 @@ def sce_loss(x: T.Tensor, z: T.Tensor, masked_nodes, gamma: float) -> T.Tensor:
     return T.mean_all(T.power(T.sub(one, cos), gamma))
 
 
-def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    norms = np.sqrt((m * m).sum(axis=1, keepdims=True))
-    denom = np.maximum(norms, 1e-8)
-    return m / denom, norms, denom
-
-
-def _unit_rows_backward(g, unit, norms, denom):
-    inner = (unit * g).sum(axis=1, keepdims=True)
-    return np.where(norms > 1e-8, (g - unit * inner) / denom, g / denom)
-
-
 def infonce_loss(u: T.Tensor, v: T.Tensor, tau: float) -> T.Tensor:
     """Symmetric InfoNCE over aligned positive rows.
 
@@ -91,24 +80,24 @@ def infonce_loss(u: T.Tensor, v: T.Tensor, tau: float) -> T.Tensor:
     n = u.rows
     if n < 2:
         raise LossError("infonce_loss needs at least 2 rows")
-    un, u_norms, u_denom = _unit_rows(u.values.astype(np.float64))
-    vn, v_norms, v_denom = _unit_rows(v.values.astype(np.float64))
-    offdiag = 1.0 - np.eye(n)
+    un, u_norms, u_denom = T.unit_rows(u.values.astype(np.float64))
+    vn, v_norms, v_denom = T.unit_rows(v.values.astype(np.float64))
 
     def direction(a, b):
         """Loss sum plus softmax weights: grad pieces P (intra) and Q (inter)."""
-        intra = (a @ a.T) / tau
+        masked = (a @ a.T) / tau
         inter = (a @ b.T) / tau
         # mask the diagonal before exponentiating: with the row max subtracted
         # every retained exponent is <= 0, so no temperature can overflow
-        masked = np.where(np.eye(n, dtype=bool), -np.inf, intra)
+        np.fill_diagonal(masked, -np.inf)
         c = np.maximum(masked.max(axis=1), inter.max(axis=1))
         e_intra = np.exp(masked - c[:, None])
         e_inter = np.exp(inter - c[:, None])
         den = e_intra.sum(axis=1) + e_inter.sum(axis=1)
         losses = np.log(den) + c - np.diag(inter)
         p_intra = e_intra / den[:, None]
-        q_inter = e_inter / den[:, None] - np.eye(n)
+        q_inter = e_inter / den[:, None]
+        q_inter.flat[::n + 1] -= 1.0  # the positive's -1 on the diagonal
         return losses.sum(), p_intra, q_inter
 
     loss_uv, p_uu, q_uv = direction(un, vn)
@@ -119,8 +108,8 @@ def infonce_loss(u: T.Tensor, v: T.Tensor, tau: float) -> T.Tensor:
         s = g[0, 0] / (2 * n * tau)
         gn_u = s * ((p_uu + p_uu.T) @ un + q_uv @ vn + q_vu.T @ vn)
         gn_v = s * ((p_vv + p_vv.T) @ vn + q_vu @ un + q_uv.T @ un)
-        return (_unit_rows_backward(gn_u, un, u_norms, u_denom),
-                _unit_rows_backward(gn_v, vn, v_norms, v_denom))
+        return (T.unit_rows_backward(gn_u, un, u_norms, u_denom),
+                T.unit_rows_backward(gn_v, vn, v_norms, v_denom))
 
     return T.custom_op("infonce", [[value]], (u, v), bwd)
 
@@ -162,9 +151,7 @@ def adj_recon_losses(z: T.Tensor, graph: SparseGraph, block) -> AdjReconLosses:
         raise LossError("block indices must be distinct")
     zb = z.values[block].astype(np.float64)
     gram = zb @ zb.T
-    x = gram
-    sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    sig = T.stable_sigmoid(gram)
     a_sub = _block_adjacency(graph, block).astype(np.float64)
     offdiag = 1.0 - np.eye(b)
     inv_b2 = 1.0 / float(b * b)

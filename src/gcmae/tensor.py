@@ -106,11 +106,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def clear(self) -> None:
-        """Drop all records and their saved activations."""
-        self._records.clear()
-        self._consumed = False
-
 
 def _finite_check(arr: np.ndarray, name: str) -> None:
     if _DEBUG_VALIDATION and not np.all(np.isfinite(arr)):
@@ -213,59 +208,31 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul_nt", out, (a, b), bwd)
 
 
-def _csr_parts(adj):
-    if isinstance(adj, NormalizedAdjacency):
-        symmetric = getattr(adj, "is_symmetric", True)
-        return (adj.num_nodes, adj.row_offsets, adj.col_indices,
-                adj.weights.astype(np.float64), symmetric)
-    if isinstance(adj, SparseGraph):
-        return (adj.num_nodes, adj.row_offsets, adj.col_indices,
-                np.ones(adj.num_arcs), adj.is_undirected)
-    raise TypeError(f"spmm expects a graph or normalized adjacency, got {type(adj)!r}")
-
-
-def _segment_rows_product(offsets, cols, weights, dense):
-    """CSR row-segment sums of weights * dense[cols]; 64-bit accumulation."""
-    n = offsets.shape[0] - 1
-    if dense.dtype != np.float64:
-        dense = dense.astype(np.float64)
-    products = weights[:, None] * dense[cols]
-    lengths = np.diff(offsets)
-    if n and lengths.min() > 0:
-        return np.add.reduceat(products, offsets[:-1], axis=0)
-    out = np.zeros((n, dense.shape[1]), dtype=np.float64)
-    np.add.at(out, np.repeat(np.arange(n), lengths), products)
+def _bucket_product(buckets, dense: np.ndarray) -> np.ndarray:
+    """Row r is sum_k w[r, k] * dense[cols[r, k]], accumulated in float64 in
+    CSR order by einsum (no BLAS), so no thread count changes a bit."""
+    out = np.zeros(dense.shape)
+    for rows, cols, weights in buckets:
+        out[rows] = np.einsum("rk,rkd->rd", weights, dense[cols])
     return out
 
 
-_DENSE_SPMM_LIMIT = 1024
-
-
 def spmm(adj, x: Tensor) -> Tensor:
-    """Sparse (CSR) times dense; the adjacency is a constant.
+    """Sparse times dense; the adjacency is a constant.
 
-    Below _DENSE_SPMM_LIMIT nodes a normalized adjacency runs through its
-    cached dense operator (BLAS); larger graphs use CSR segment sums.
+    A NormalizedAdjacency multiplies by its weights, a raw SparseGraph by unit
+    weights. Forward and adjoint run one degree-bucketed kernel, on the
+    adjacency's cached spmm_layout and on its transpose.
     """
-    n, offsets, cols, weights, symmetric = _csr_parts(adj)
-    if x.rows != n:
-        raise ShapeError(f"spmm expects {n} rows, got {x.rows}")
-    dense_op = (adj.dense64 if isinstance(adj, NormalizedAdjacency)
-                and n <= _DENSE_SPMM_LIMIT else None)
-    if dense_op is not None:
-        out64 = dense_op @ x.values.astype(np.float64)
-    else:
-        out64 = _segment_rows_product(offsets, cols, weights, x.values)
+    if not isinstance(adj, (NormalizedAdjacency, SparseGraph)):
+        raise TypeError(f"spmm expects a graph or normalized adjacency, got {type(adj)!r}")
+    if x.rows != adj.num_nodes:
+        raise ShapeError(f"spmm expects {adj.num_nodes} rows, got {x.rows}")
+    forward, transposed = adj.spmm_layout
+    out64 = _bucket_product(forward, x.values.astype(np.float64))
 
     def bwd(g):
-        if dense_op is not None:
-            return ((dense_op if symmetric else dense_op.T) @ g,)
-        if symmetric:
-            return (_segment_rows_product(offsets, cols, weights, g),)
-        gx = np.zeros((n, x.cols), dtype=np.float64)
-        rows = np.repeat(np.arange(n), np.diff(offsets))
-        np.add.at(gx, cols, weights[:, None] * g[rows])
-        return (gx,)
+        return (_bucket_product(transposed, g),)
 
     return _emit("spmm", out64.astype(np.float32), (x,), bwd)
 
@@ -349,9 +316,29 @@ def prelu(t: Tensor, slope: Tensor) -> Tensor:
     return _emit("prelu", np.where(mask, t.values, a * t.values), (t, slope), bwd)
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of a float64 array; exp never sees a positive argument."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of a float64 array scaled to unit L2 norm, denominator floored at
+    _NORM_FLOOR; returns (unit rows, norms, denominators) for the adjoint."""
+    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    denom = np.maximum(norms, _NORM_FLOOR)
+    return x / denom, norms, denom
+
+
+def unit_rows_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray,
+                       denom: np.ndarray) -> np.ndarray:
+    """Adjoint of unit_rows given its outputs; floored rows pass g / denom."""
+    inner = np.sum(y * g, axis=1, keepdims=True)
+    return np.where(norms > _NORM_FLOOR, (g - y * inner) / denom, g / denom)
+
+
 def sigmoid(t: Tensor) -> Tensor:
-    x = _f64(t)
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    y = stable_sigmoid(_f64(t))
 
     def bwd(g):
         return (g * y * (1.0 - y),)
@@ -361,15 +348,10 @@ def sigmoid(t: Tensor) -> Tensor:
 
 def row_l2_normalize(t: Tensor) -> Tensor:
     """Rows scaled to unit L2 norm, denominator floored at 1e-8."""
-    x = _f64(t)
-    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-    denom = np.maximum(norms, _NORM_FLOOR)
-    y = x / denom
+    y, norms, denom = unit_rows(_f64(t))
 
     def bwd(g):
-        inner = np.sum(y * g, axis=1, keepdims=True)
-        gx = np.where(norms > _NORM_FLOOR, (g - y * inner) / denom, g / denom)
-        return (gx,)
+        return (unit_rows_backward(g, y, norms, denom),)
 
     return _emit("row_l2_normalize", y.astype(np.float32), (t,), bwd)
 

@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gcmae
 from gcmae.cli import main
 from gcmae.graph import load_dataset
 
@@ -87,6 +93,65 @@ class TestTrain:
                      "--set", "epochs=2", "--out-prefix", out])
         assert code == 0
         assert len((tmp_path / "cfgrun.trace.tsv").read_text().splitlines()) == 2
+
+
+# A valid four-node dataset; each malformed case swaps one token for a word.
+VALID_DATASET = """NODES 4 2
+0: 1.0 0.0
+1: 0.9 0.1
+2: 0.0 1.0
+3: 0.1 0.9
+EDGES 2
+0 1
+2 3
+UNDIRECTED
+LABELS
+0 0
+1 0
+2 1
+3 1
+"""
+
+
+class TestMalformedDataset:
+    @pytest.mark.parametrize("good,bad", [
+        ("1: 0.9 0.1\n", "1: 0.9 x\n"),   # feature value
+        ("EDGES 2\n", "EDGES two\n"),     # edge count
+        ("2 3\n", "2 y\n"),               # edge endpoint
+        ("3 1\n", "3 z\n"),               # label
+    ], ids=["feature-value", "edge-count", "edge-endpoint", "label"])
+    def test_non_numeric_token_is_data_error(self, tmp_path, capsys, good, bad):
+        assert good in VALID_DATASET
+        path = tmp_path / "bad.txt"
+        path.write_text(VALID_DATASET.replace(good, bad))
+        code = main(["train", "--dataset", str(path), *FAST,
+                     "--out-prefix", str(tmp_path / "bad")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1, err
+        assert err.startswith("data error: ")
+
+
+class TestBlasThreadDeterminism:
+    def test_checkpoint_and_trace_independent_of_blas_threads(self, tmp_path):
+        """At the default d_hidden of 512 OpenBLAS runs its products on both
+        threads: user time was 1.7x wall time at 2 threads on a 2-core machine."""
+        data = str(tmp_path / "sbm.txt")
+        assert main(["generate", "--blocks", "3", "--per-block", "100", "--p-in", "0.1",
+                     "--p-out", "0.01", "--feature-dim", "16", "--seed", "0",
+                     "--out", data]) == 0
+        src = str(Path(gcmae.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            prefix = tmp_path / f"t{threads}"
+            subprocess.run([sys.executable, "-m", "gcmae.cli", "train", "--dataset", data,
+                            "--set", "epochs=20", "--set", "probe_every=10",
+                            "--out-prefix", str(prefix)],
+                           env=env, check=True, capture_output=True)
+            digests.append([hashlib.sha256(Path(f"{prefix}{ext}").read_bytes()).hexdigest()
+                            for ext in (".ckpt", ".trace.tsv")])
+        assert digests[0] == digests[1]
 
 
 class TestEval:

@@ -255,17 +255,48 @@ class TestRandomComposites:
             assert worst < 1e-4
 
 
+def _spmm_oracle_cases(rng):
+    """(label, adjacency, its dense float64 operator) for TestSpmmDenseOracle."""
+    for n in (5, 17, 64):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.2]
+        adj = normalize(SparseGraph.from_edges(n, edges))
+        yield f"sbm-{n}", adj, adj.to_dense().astype(np.float64)
+    n = 1500
+    adj = normalize(SparseGraph.from_edges(n, rng.integers(0, n, size=(4 * n, 2))))
+    yield "n>1024", adj, adj.to_dense().astype(np.float64)
+    directed = SparseGraph.from_edges(40, rng.integers(0, 40, size=(150, 2)),
+                                      is_undirected=False)
+    in_deg = np.bincount(directed.col_indices, minlength=40)
+    assert not np.array_equal(in_deg, directed.degrees())
+    adj = normalize(directed)
+    yield "directed", adj, adj.to_dense().astype(np.float64)
+    isolated = SparseGraph.from_edges(10, [(0, 1), (1, 2), (5, 6)])
+    assert (isolated.degrees() == 0).sum() == 5
+    yield "raw-isolated", isolated, isolated.to_dense().astype(np.float64)
+    hub = SparseGraph.from_edges(150, [(0, j) for j in range(1, 121)]
+                                 + [tuple(e) for e in rng.integers(1, 150, size=(200, 2))])
+    assert hub.degrees().max() >= 100
+    adj = normalize(hub)
+    yield "hub", adj, adj.to_dense().astype(np.float64)
+
+
 class TestSpmmDenseOracle:
     def test_matches_densified_product(self):
+        """Forward and adjoint against the dense product."""
         rng = np.random.default_rng(20)
-        for n in (5, 17, 64):
-            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                     if rng.random() < 0.2]
-            adj = normalize(SparseGraph.from_edges(n, edges))
+        for label, adj, dense in _spmm_oracle_cases(rng):
+            n = dense.shape[0]
             x = rnd(rng, n, 7).astype(np.float32)
-            got = T.spmm(adj, T.tensor(x)).values.astype(np.float64)
-            want = adj.to_dense().astype(np.float64) @ x.astype(np.float64)
-            assert rel_err(got, want) < 1e-6
+            w = rnd(rng, n, 7).astype(np.float32)
+            with T.Tape() as tape:
+                xt = T.tensor(x, requires_grad=True)
+                y = T.spmm(adj, xt)
+                total = T.sum_all(T.elementwise_mul(y, T.constant(w)))
+            grad = T.backward(tape, total)[xt].values.astype(np.float64)
+            got = y.values.astype(np.float64)
+            assert rel_err(got, dense @ x.astype(np.float64)) < 1e-6, label
+            assert rel_err(grad, dense.T @ w.astype(np.float64)) < 1e-6, label
 
     def test_plain_graph_weights_are_one(self):
         g = SparseGraph.from_edges(3, [(0, 1), (1, 2)])
