@@ -164,7 +164,7 @@ def cmd_eval(args) -> int:
         for seed in seeds:
             split = make_edge_split(dataset.graph, seed)
             mp_dataset = train_graph_dataset(dataset, split)
-            lp_params, _ = train(mp_dataset, cfg.with_overrides(seed=seed))
+            lp_params, _ = train(mp_dataset, cfg.with_overrides(seed=seed, probe_every=0))
             auc, ap = link_prediction_eval(lp_params, mp_dataset, split)
             per_seed.append({"seed": seed, "auc": auc, "ap": ap})
     elif args.task == "cluster":
@@ -243,7 +243,7 @@ def cmd_ablate(args) -> int:
         row_cfg = _ablation_config(base, variant)
         accs = []
         for seed in seeds:
-            params, _ = train(dataset, row_cfg.with_overrides(seed=seed))
+            params, _ = train(dataset, row_cfg.with_overrides(seed=seed, probe_every=0))
             accs.append(linear_probe(embed(params, dataset), dataset.labels,
                                      dataset.split))
         accs_arr = np.array(accs)

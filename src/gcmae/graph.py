@@ -278,24 +278,32 @@ def generate_sbm(spec: SbmSpec) -> Dataset:
     return Dataset(graph, feats, labels, split)
 
 
-def khop_neighbors(graph: SparseGraph, node: int, k: int) -> set[int]:
-    """Nodes at shortest-path distance exactly k from node (BFS frontier)."""
+def khop_sets(graph: SparseGraph, nodes, k: int) -> np.ndarray:
+    """Row i marks the nodes at shortest-path distance exactly k from nodes[i].
+
+    One frontier search for all sources: each level is a boolean sparse
+    product (Kepner & Gilbert 2011) over the in-neighbour buckets of
+    spmm_layout, so a directed graph is searched along its out-arcs.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    dist = np.full(graph.num_nodes, -1, dtype=np.int64)
-    dist[node] = 0
-    frontier = [node]
-    for depth in range(1, k + 1):
-        nxt = []
-        for u in frontier:
-            for v in graph.neighbors(u):
-                if dist[v] < 0:
-                    dist[v] = depth
-                    nxt.append(int(v))
-        if not nxt:
-            return set()
+    nodes = np.asarray(nodes, dtype=np.int64)
+    frontier = np.zeros((nodes.size, graph.num_nodes), dtype=bool)
+    frontier[np.arange(nodes.size), nodes] = True
+    reached = frontier.copy()
+    for _ in range(k):
+        nxt = np.zeros_like(frontier)
+        for rows, cols, _ in graph.spmm_layout[1]:
+            nxt[:, rows] = frontier[:, cols].any(axis=2)
+        nxt &= ~reached
+        reached |= nxt
         frontier = nxt
-    return set(frontier)
+    return frontier
+
+
+def khop_neighbors(graph: SparseGraph, node: int, k: int) -> set[int]:
+    """Nodes at shortest-path distance exactly k from node."""
+    return set(np.flatnonzero(khop_sets(graph, [node], k)[0]).tolist())
 
 
 def load_dataset(path: str, split_seed: int = 0) -> Dataset:
@@ -326,7 +334,7 @@ def load_dataset(path: str, split_seed: int = 0) -> Dataset:
     if n < 0 or dim < 0:
         raise DataError("negative header counts")
 
-    feats = np.zeros((n, dim), dtype=np.float32)
+    feats = np.zeros((n, dim))  # float64 until range-checked
     for i in range(n):
         if pos >= len(lines) or lines[pos].startswith("EDGES"):
             raise DataError("feature row count mismatch")
@@ -339,6 +347,11 @@ def load_dataset(path: str, split_seed: int = 0) -> Dataset:
         if len(vals) != dim:
             raise DataError(f"node {i}: expected {dim} feature values, got {len(vals)}")
         feats[i] = [parse(float, v, "feature value") for v in vals]
+    in_range = np.abs(feats) <= np.finfo(np.float32).max  # False for nan and inf
+    if not in_range.all():
+        bad = np.flatnonzero(~in_range.all(axis=1))[0]
+        raise DataError(f"node {bad}: feature value is nan, inf or beyond float32 range")
+    feats = feats.astype(np.float32)
 
     edge_header = take().split()
     if len(edge_header) != 2 or edge_header[0] != "EDGES":

@@ -9,6 +9,7 @@ fusion (two independent encoders, downstream embedding is their mean).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -213,10 +214,11 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 def _read_exact(fh, count: int) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise CheckpointError("truncated checkpoint file")
-    return buf
+    # checked before reading, so a corrupt size word allocates nothing
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointError(f"truncated checkpoint file: a {count}-byte field "
+                              "runs past the end")
+    return fh.read(count)
 
 
 def load_checkpoint(path: str) -> ModelParams:

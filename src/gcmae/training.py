@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .augment import draw_plans, drop_nodes, mask_features
 from .config import TrainConfig, config_hash
-from .graph import Dataset, khop_neighbors, normalize
+from .graph import Dataset, khop_sets, normalize
 from .losses import (LossBreakdown, LossWeights, adj_recon_losses, infonce_loss,
                      sce_loss, total_loss, variance_loss)
 from .model import (ModelParams, embed, forward, init_params, load_checkpoint,
@@ -181,7 +181,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[ModelParams, TrainTrac
                         np.random.SeedSequence([config.seed, epoch, _PROBE_STREAM])),
                     adjacency=adj)
             except ProbeError:
-                probe = None  # graph too small for the 5-hop probe; trace records "-"
+                # no sampled node has an exactly-5-hop neighbour; trace records "-"
+                probe = None
         trace.entries.append(TraceEntry(epoch, breakdown, probe,
                                         time.perf_counter() - started))
     return params, trace
@@ -199,12 +200,10 @@ def similarity_probe(params: ModelParams, dataset: Dataset, sample_size: int,
     n = dataset.num_nodes
     nodes = rng.choice(n, size=min(sample_size, n), replace=False)
     sims = []
-    for node in nodes:
-        hop = khop_neighbors(dataset.graph, int(node), k)
-        if not hop:
+    for node, hop in zip(nodes.tolist(), khop_sets(dataset.graph, nodes, k)):
+        if not hop.any():
             continue
-        target = h[sorted(hop)].mean(axis=0)
-        a, b = h[int(node)], target
+        a, b = h[node], h[np.flatnonzero(hop)].mean(axis=0)
         denom = max(np.linalg.norm(a), 1e-8) * max(np.linalg.norm(b), 1e-8)
         sims.append(float(a @ b / denom))
     if not sims:

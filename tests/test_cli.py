@@ -14,6 +14,7 @@ from gcmae.graph import load_dataset
 
 FAST = ["--set", "epochs=4", "--set", "d_hidden=8", "--set", "d_proj=8",
         "--set", "block_size=16", "--set", "probe_every=0"]
+PROBED = [*FAST, "--set", "probe_every=1"]
 
 
 @pytest.fixture()
@@ -24,6 +25,21 @@ def dataset_file(tmp_path):
                  "--out", path])
     assert code == 0
     return path
+
+
+@pytest.fixture()
+def probe_calls(monkeypatch):
+    """Counts the similarity probes that train() runs."""
+    import gcmae.training as training
+    calls = []
+    original = training.similarity_probe
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "similarity_probe", counted)
+    return calls
 
 
 def train_once(tmp_path, dataset_file, prefix="run", extra=()):
@@ -95,7 +111,8 @@ class TestTrain:
         assert len((tmp_path / "cfgrun.trace.tsv").read_text().splitlines()) == 2
 
 
-# A valid four-node dataset; each malformed case swaps one token for a word.
+# A valid four-node dataset; each malformed case swaps one token for a word
+# or for a non-finite feature value.
 VALID_DATASET = """NODES 4 2
 0: 1.0 0.0
 1: 0.9 0.1
@@ -119,7 +136,11 @@ class TestMalformedDataset:
         ("EDGES 2\n", "EDGES two\n"),     # edge count
         ("2 3\n", "2 y\n"),               # edge endpoint
         ("3 1\n", "3 z\n"),               # label
-    ], ids=["feature-value", "edge-count", "edge-endpoint", "label"])
+        ("1: 0.9 0.1\n", "1: 0.9 nan\n"),  # non-finite feature value
+        ("1: 0.9 0.1\n", "1: inf 0.1\n"),
+        ("1: 0.9 0.1\n", "1: 0.9 1e39\n"),  # overflows float32
+    ], ids=["feature-value", "edge-count", "edge-endpoint", "label", "feature-nan",
+            "feature-inf", "feature-overflow"])
     def test_non_numeric_token_is_data_error(self, tmp_path, capsys, good, bad):
         assert good in VALID_DATASET
         path = tmp_path / "bad.txt"
@@ -192,6 +213,19 @@ class TestEval:
         row = json.loads((tmp_path / "lp.json").read_text())["per_seed"][0]
         assert 0.0 <= row["auc"] <= 1.0 and 0.0 <= row["ap"] <= 1.0
 
+    def test_linkpred_retrain_runs_no_probe(self, tmp_path, dataset_file, probe_calls):
+        """The retrain's trace is discarded, so its probe would be wasted work."""
+        out = str(tmp_path / "probed")
+        assert main(["train", "--dataset", dataset_file, "--out-prefix", out,
+                     *PROBED]) == 0
+        assert len(probe_calls) == 4  # the counter sees train()'s probes
+        probe_calls.clear()
+        code = main(["eval", "--checkpoint", out + ".ckpt", "--dataset", dataset_file,
+                     *PROBED, "--task", "linkpred", "--seeds", "0,1",
+                     "--out", str(tmp_path / "lp.json")])
+        assert code == 0
+        assert probe_calls == []
+
     def test_pca_csv(self, tmp_path, dataset_file):
         _, out = train_once(tmp_path, dataset_file)
         path = str(tmp_path / "pca.json")
@@ -239,3 +273,9 @@ class TestAblate:
         base = apply_overrides(TrainConfig(), [f.split("=")[0] + "=" + f.split("=")[1]
                                                for f in [p for p in FAST if "=" in p]])
         assert rows["full"][1] == config_hash(base)
+
+    def test_retrains_run_no_probe(self, tmp_path, dataset_file, probe_calls):
+        code = main(["ablate", "--dataset", dataset_file, *PROBED,
+                     "--seeds", "0", "--out", str(tmp_path / "table.tsv")])
+        assert code == 0
+        assert probe_calls == []

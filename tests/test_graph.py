@@ -11,6 +11,7 @@ from gcmae.graph import (
     VAL,
     generate_sbm,
     khop_neighbors,
+    khop_sets,
     load_dataset,
     normalize,
     save_dataset,
@@ -192,6 +193,73 @@ def bfs_distances(graph, source):
                     nxt.append(v)
         frontier = nxt
     return dist
+
+
+def reference_khop(graph, node, k):
+    """The per-node Python BFS that khop_sets replaced, kept as its reference."""
+    dist = np.full(graph.num_nodes, -1, dtype=np.int64)
+    dist[node] = 0
+    frontier = [node]
+    for depth in range(1, k + 1):
+        nxt = []
+        for u in frontier:
+            for v in graph.neighbors(u):
+                if dist[v] < 0:
+                    dist[v] = depth
+                    nxt.append(int(v))
+        if not nxt:
+            return set()
+        frontier = nxt
+    return set(frontier)
+
+
+class TestKhopSets:
+    @staticmethod
+    def undirected_sbm():
+        g = generate_sbm(SbmSpec(blocks=3, nodes_per_block=20, p_in=0.15, p_out=0.02,
+                                 feature_dim=3, seed=4)).graph
+        assert g.is_undirected
+        return g
+
+    @staticmethod
+    def directed_random():
+        rng = np.random.default_rng(7)
+        arcs = [(i, j) for i in range(40) for j in range(40) if rng.random() < 0.06]
+        g = SparseGraph.from_edges(40, arcs, is_undirected=False)
+        in_degrees = np.bincount(g.col_indices, minlength=g.num_nodes)
+        assert not g.is_undirected and np.any(in_degrees != g.degrees())
+        return g
+
+    @staticmethod
+    def isolated_nodes():
+        rng = np.random.default_rng(8)
+        edges = [(i, j) for i in range(25) for j in range(i + 1, 25) if rng.random() < 0.12]
+        g = SparseGraph.from_edges(30, edges)  # nodes 25-29 have no edge
+        assert np.all(g.degrees()[25:] == 0)
+        return g
+
+    @staticmethod
+    def beyond_diameter():
+        # a 4-cycle with a tail of two: diameter 4, so no node has a 6-hop set
+        g = SparseGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)])
+        assert all(not reference_khop(g, v, 5) for v in range(6))
+        return g
+
+    @pytest.mark.parametrize("make", ["undirected_sbm", "directed_random",
+                                      "isolated_nodes", "beyond_diameter"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_matches_per_node_bfs(self, make, k):
+        g = getattr(self, make)()
+        nodes = np.random.default_rng(k).permutation(g.num_nodes)
+        sets = khop_sets(g, nodes, k)
+        assert sets.shape == (g.num_nodes, g.num_nodes) and sets.dtype == bool
+        for node, row in zip(nodes.tolist(), sets):
+            assert set(np.flatnonzero(row).tolist()) == reference_khop(g, node, k), node
+
+    def test_k_below_one_rejected(self):
+        g = SparseGraph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError):
+            khop_sets(g, [0], 0)
 
 
 class TestKhop:

@@ -11,6 +11,7 @@ from gcmae.model import (ModelParams, check_shapes, decode, embed, encode,
 from gcmae.training import similarity_probe
 
 from gradcheck_utils import rel_err
+import test_graph as G
 
 
 def small_cfg(**kv):
@@ -268,6 +269,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
 
+    def test_oversized_record_rejected_before_allocation(self, tmp_path):
+        """A 40-byte file whose header claims a 4096 x 4096 record (64 MB)."""
+        import struct
+        import tracemalloc
+        from gcmae.model import CheckpointError
+        name = b"w/enc0"
+        data = (b"GCMAE1" + struct.pack("<II", 1, len(name)) + name
+                + struct.pack("<II", 4096, 4096) + b"\x00" * 12)
+        assert len(data) == 40
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
     def test_shape_mismatch_against_other_config(self, tmp_path):
         params = self.make_params()
         path = str(tmp_path / "model.ckpt")
@@ -299,6 +320,30 @@ class TestSimilarityProbe:
         value = similarity_probe(None, ds, sample_size=64, k=2,
                                  rng=np.random.default_rng(0))
         assert abs(value) < 0.1
+
+    @pytest.mark.parametrize("k,sample_size", [(3, 64), (5, 300)])
+    def test_matches_per_node_bfs_probe(self, k, sample_size):
+        """Bit for bit against the probe as written over the per-node BFS, on
+        the pinned 3x100 benchmark graph. That graph holds 2 exactly-5-hop
+        pairs, so k=5 samples every node."""
+        ds = generate_sbm(SbmSpec(blocks=3, nodes_per_block=100, p_in=0.1,
+                                  p_out=0.01, feature_dim=16, seed=0))
+        params = init_params(small_cfg(), 16)
+        h = embed(params, ds).astype(np.float64)
+        nodes = np.random.default_rng(11).choice(ds.num_nodes, size=sample_size,
+                                                 replace=False)
+        sims = []
+        for node in nodes:
+            hop = G.reference_khop(ds.graph, int(node), k)
+            if not hop:
+                continue
+            a, b = h[int(node)], h[sorted(hop)].mean(axis=0)
+            denom = max(np.linalg.norm(a), 1e-8) * max(np.linalg.norm(b), 1e-8)
+            sims.append(float(a @ b / denom))
+        assert sims
+        value = similarity_probe(params, ds, sample_size, k=k,
+                                 rng=np.random.default_rng(11))
+        assert value == float(np.mean(sims))
 
     def test_all_skipped_raises(self):
         from gcmae.training import ProbeError
